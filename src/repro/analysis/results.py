@@ -320,13 +320,11 @@ def window_batch_table(
 
     ``sim_log`` is :attr:`repro.core.engine.EngineResult.sim_log`: every
     slice-epoch task reports one row of window-batching diagnostics
-    (``{slice_index, epoch, window_batches, batch_simulations, max_batch,
-    speculated, lookahead_hits}`` plus ``dut_constructions``/``dut_reuses``
-    when the DUT pool is enabled).  Each output row sums a slice's story
-    across the campaign: how many window batches ran, the physical
-    simulations they performed, the widest batch, how many candidates were
-    evaluated speculatively, and how many committed rounds were absorbed by
-    an earlier batch (``lookahead_hits``).  The companion of
+    (``{slice_index, epoch, window_batches, batch_simulations, max_batch}``
+    plus ``dut_constructions``/``dut_reuses`` when the DUT pool is enabled).
+    Each output row sums a slice's story across the campaign: how many
+    window batches ran, the physical simulations they performed, the widest
+    batch, and how often the DUT pool reused a warm DUT.  The companion of
     :func:`profile_hotspot_table` for the batching layer — diagnostics only,
     never part of the deterministic campaign wire forms.
 
@@ -346,8 +344,6 @@ def window_batch_table(
                 "batches": 0,
                 "batch_simulations": 0,
                 "max_batch": 0,
-                "speculated": 0,
-                "lookahead_hits": 0,
                 "dut_constructions": 0,
                 "dut_reuses": 0,
             },
@@ -356,8 +352,6 @@ def window_batch_table(
         row["batches"] += int(entry.get("window_batches", 0))
         row["batch_simulations"] += int(entry.get("batch_simulations", 0))
         row["max_batch"] = max(row["max_batch"], int(entry.get("max_batch", 0)))
-        row["speculated"] += int(entry.get("speculated", 0))
-        row["lookahead_hits"] += int(entry.get("lookahead_hits", 0))
         row["dut_constructions"] += int(entry.get("dut_constructions", 0))
         row["dut_reuses"] += int(entry.get("dut_reuses", 0))
     return [dict(rows[index]) for index in sorted(rows)]

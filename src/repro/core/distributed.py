@@ -25,16 +25,20 @@ RESULT      worker -> coordinator   ``task_id``, ``payload`` (the shard's
 HEARTBEAT   worker -> coordinator   none — liveness only, sent from a side
                                     thread even while a batch is running
 BYE         either direction        optional ``reason`` (human-readable) and
-                                    ``code`` (machine-readable, e.g. ``auth``
-                                    on an authentication rejection); an
+                                    ``code`` (machine-readable: ``version``
+                                    or ``auth`` on a rejected HELLO); an
                                     orderly goodbye
 ==========  ======================  ==========================================
 
+Versioning: a HELLO whose ``version`` is not :data:`PROTOCOL_VERSION` (or
+that carries none) is rejected with ``BYE code="version"`` before any task
+is sent, so both sides always speak the same frame layout.
+
 Authentication: when the coordinator is constructed with an ``auth_token``,
 every HELLO must carry the same token in its ``auth`` field; a mismatched
-(or missing) token is rejected with a ``BYE reason="auth token mismatch"``
-and a coordinator-side warning log line, and the worker is never admitted to
-the fleet.  This is a shared-secret gate for semi-trusted networks — the
+(or missing) token is rejected with a ``BYE code="auth"`` and a
+coordinator-side warning log line, and the worker is never admitted to the
+fleet.  This is a shared-secret gate for semi-trusted networks — the
 stream itself is not encrypted (TLS remains a follow-up).
 
 Fault tolerance: a worker that closes its socket, says BYE, or misses
@@ -90,7 +94,10 @@ __all__ = [
     "core_config_to_wire",
 ]
 
-PROTOCOL_VERSION = 1
+# Bumped whenever a frame's required fields change; the coordinator refuses
+# a HELLO from any other version, so task decoding never has to guess at
+# fields a peer did not send.
+PROTOCOL_VERSION = 2
 
 logger = logging.getLogger(__name__)
 
@@ -210,7 +217,6 @@ def fuzzer_configuration_to_wire(
         "low_gain_limit": configuration.low_gain_limit,
         "sim_cache": configuration.sim_cache,
         "dut_pool": configuration.dut_pool,
-        "window_lookahead": configuration.window_lookahead,
         "seed_id_base": configuration.seed_id_base,
         "name": configuration.name,
     }
@@ -224,12 +230,6 @@ def fuzzer_configuration_from_wire(
     data["layout"] = MemoryLayout(**data["layout"])
     data["taint_mode"] = TaintTrackingMode(data["taint_mode"])
     data["training_mode"] = TrainingMode(data["training_mode"])
-    # Older coordinators do not send the cache flag; caching is the default.
-    data.setdefault("sim_cache", True)
-    # Likewise DUT pooling (default on) and lookahead (default 1 = off); both
-    # are byte-transparent, so a mixed fleet still merges identical payloads.
-    data.setdefault("dut_pool", True)
-    data.setdefault("window_lookahead", 1)
     return FuzzerConfiguration(**data)
 
 
@@ -256,16 +256,14 @@ def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
         epoch=int(payload["epoch"]),
         iterations=int(payload["iterations"]),
         configuration=fuzzer_configuration_from_wire(payload["configuration"]),
-        initial_seed=payload.get("initial_seed"),
-        baseline_points=list(payload.get("baseline_points") or []),
-        report_top_seeds=int(payload.get("report_top_seeds", 4)),
-        step_latency=float(payload.get("step_latency", 0.0)),
-        simulator=str(payload.get("simulator", "inproc")),
-        profile=int(payload.get("profile", 0)),
-        # Older coordinators do not send the telemetry knobs; telemetry
-        # defaults on and is byte-transparent, so mixed fleets interoperate.
-        telemetry=bool(payload.get("telemetry", True)),
-        telemetry_cadence=float(payload.get("telemetry_cadence", 0.0)),
+        initial_seed=payload["initial_seed"],
+        baseline_points=list(payload["baseline_points"]),
+        report_top_seeds=int(payload["report_top_seeds"]),
+        step_latency=float(payload["step_latency"]),
+        simulator=str(payload["simulator"]),
+        profile=int(payload["profile"]),
+        telemetry=bool(payload["telemetry"]),
+        telemetry_cadence=float(payload["telemetry_cadence"]),
     )
 
 
@@ -430,27 +428,24 @@ class DistributedBackend(ExecutionBackend):
         if not hello or hello.get("type") != "HELLO":
             conn.close()
             return
-        if self.auth_token is not None and hello.get("auth") != self.auth_token:
-            logger.warning(
-                "rejected worker %s: auth token mismatch (fleet runs with "
-                "--auth-token; start workers with the same token)",
-                hello.get("worker", "?"),
+        if hello.get("version") != PROTOCOL_VERSION:
+            self._reject(
+                conn,
+                hello,
+                "version",
+                f"protocol version mismatch (coordinator speaks "
+                f"{PROTOCOL_VERSION}, worker sent {hello.get('version')!r}; "
+                "run the same code on both sides)",
             )
-            self.rejected_workers += 1
-            try:
-                # code is the machine-readable field the worker keys its
-                # give-up-or-retry decision on; reason is for humans.
-                send_frame(
-                    conn,
-                    {
-                        "type": "BYE",
-                        "code": "auth",
-                        "reason": "auth token mismatch",
-                    },
-                )
-            except OSError:
-                pass
-            conn.close()
+            return
+        if self.auth_token is not None and hello.get("auth") != self.auth_token:
+            self._reject(
+                conn,
+                hello,
+                "auth",
+                "auth token mismatch (fleet runs with --auth-token; start "
+                "workers with the same token)",
+            )
             return
         with self._condition:
             worker = _WorkerConnection(
@@ -487,6 +482,25 @@ class DistributedBackend(ExecutionBackend):
                 worker.alive = False
                 self._condition.notify_all()
             worker.close()
+
+    def _reject(
+        self,
+        conn: socket.socket,
+        hello: Dict[str, object],
+        code: str,
+        reason: str,
+    ) -> None:
+        """Refuse a HELLO: log it, count it, say BYE and hang up."""
+        logger.warning("rejected worker %s: %s", hello.get("worker", "?"), reason)
+        with self._condition:
+            self.rejected_workers += 1
+        try:
+            # code is the machine-readable field the worker keys its
+            # give-up-or-retry decision on; reason is for humans.
+            send_frame(conn, {"type": "BYE", "code": code, "reason": reason})
+        except OSError:
+            pass
+        conn.close()
 
     def _record_result(
         self, worker: _WorkerConnection, frame: Dict[str, object]

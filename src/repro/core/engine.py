@@ -294,11 +294,6 @@ class EngineConfiguration:
     # transparent (reset restores the constructed state exactly), so — like
     # sim_cache — it exists for A/B diffing and never enters checkpoints.
     dut_pool: bool = True
-    # Speculative trigger lookahead: on a window miss, the next K-1 mutated
-    # candidates are evaluated in the same simulator batch and replayed from
-    # the simulation cache when the committed loop reaches them.  1 = off.
-    # Byte-transparent: campaign results are identical for any value.
-    window_lookahead: int = 1
     # Live campaign telemetry: always on by default (the counters are cheap
     # enough to keep lit).  All three knobs are pure observation — they never
     # enter the checkpoint fingerprint or the deterministic wire forms, and
@@ -366,10 +361,6 @@ class EngineConfiguration:
             )
         if self.profile < 0:
             raise ValueError(f"profile must be non-negative, got {self.profile}")
-        if self.window_lookahead < 1:
-            raise ValueError(
-                f"window_lookahead must be at least 1, got {self.window_lookahead}"
-            )
         if self.telemetry_cadence < 0:
             raise ValueError(
                 f"telemetry_cadence must be non-negative, got {self.telemetry_cadence}"
@@ -502,11 +493,11 @@ class EngineResult:
     # never part of the deterministic wire forms, never checkpointed.
     worker_log: List[Dict[str, object]] = field(default_factory=list)
     # One row per slice-epoch of simulation diagnostics.  Every run reports
-    # the batch-evaluation counters ({slice_index, epoch, window_batches,
-    # batch_simulations, max_batch, speculated, lookahead_hits, and — when
-    # the DUT pool is on — dut_constructions/dut_reuses}); runs under the
-    # subprocess simulator additionally merge in the process counters
-    # ({spawns, restarts, steps, step_seconds_total, mean_step_seconds}).
+    # the Phase-1 batch counters ({slice_index, epoch, window_batches,
+    # batch_simulations, max_batch}, plus dut_constructions/dut_reuses when
+    # the DUT pool is on); runs under the subprocess simulator additionally
+    # merge in the process counters ({spawns, restarts, steps,
+    # step_seconds_total, mean_step_seconds}).
     # Feed it to repro.analysis.window_batch_table and (for the process
     # rows) repro.analysis.simulator_process_table.  Like worker_log,
     # timing-adjacent diagnostics outside the deterministic wire forms.
@@ -1113,10 +1104,6 @@ class CampaignScheduler:
             # prototype that already opted out stays opted out.
             sim_cache=prototype.sim_cache and self.configuration.sim_cache,
             dut_pool=prototype.dut_pool and self.configuration.dut_pool,
-            # Lookahead widens, never narrows: either level can raise it.
-            window_lookahead=max(
-                prototype.window_lookahead, self.configuration.window_lookahead
-            ),
         )
         return ShardTask(
             slice_index=slice_index,
@@ -1323,50 +1310,6 @@ class ParallelCampaignEngine:
     def __init__(self, configuration: EngineConfiguration) -> None:
         self.configuration = configuration
         self.scheduler = CampaignScheduler(configuration)
-
-    # -- scheduler delegation (compatibility surface) ----------------------------------------
-
-    @property
-    def corpus(self) -> SharedCorpus:
-        return self.scheduler.corpus
-
-    @property
-    def _next_epoch(self) -> int:
-        return self.scheduler.next_epoch
-
-    @property
-    def _core_triggered(self) -> Dict[str, Set[str]]:
-        return self.scheduler._core_triggered
-
-    @_core_triggered.setter
-    def _core_triggered(self, value: Dict[str, Set[str]]) -> None:
-        self.scheduler._core_triggered = value
-
-    def slice_entropy(self, slice_index: int, epoch: int) -> int:
-        return self.scheduler.slice_entropy(slice_index, epoch)
-
-    slice_seed_id_base = staticmethod(CampaignScheduler.slice_seed_id_base)
-
-    def slice_core(self, slice_index: int) -> CoreConfig:
-        return self.scheduler.slice_core(slice_index)
-
-    def epoch_budgets(self) -> List[List[int]]:
-        return self.scheduler.epoch_budgets()
-
-    def _should_redistribute(self, epoch_gains: Dict[int, int]) -> bool:
-        return self.scheduler._should_redistribute(epoch_gains)
-
-    def _redistribute(self, *args, **kwargs):
-        return self.scheduler._redistribute(*args, **kwargs)
-
-    def configuration_fingerprint(self) -> Dict[str, object]:
-        return self.scheduler.configuration_fingerprint()
-
-    def checkpoint_state(self) -> Dict[str, object]:
-        return self.scheduler.checkpoint_state()
-
-    def save_checkpoint(self, path: str) -> str:
-        return self.scheduler.save_checkpoint(path)
 
     # -- campaign --------------------------------------------------------------------------
 
@@ -1748,15 +1691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "use for A/B determinism diffing)",
     )
     parser.add_argument(
-        "--window-lookahead",
-        type=int,
-        default=1,
-        metavar="K",
-        help="on a window miss, speculatively evaluate the next K-1 mutated "
-        "candidates in the same simulator batch (default: 1 = off; results "
-        "are byte-identical for any K)",
-    )
-    parser.add_argument(
         "--telemetry-dir",
         metavar="DIR",
         help="stream telemetry records (round/metrics/worker/campaign) as "
@@ -1834,7 +1768,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             profile=args.profile,
             sim_cache=not args.no_sim_cache,
             dut_pool=not args.no_dut_pool,
-            window_lookahead=args.window_lookahead,
             telemetry=not args.no_telemetry,
             telemetry_dir=args.telemetry_dir,
             telemetry_cadence=args.telemetry_cadence,
@@ -1872,7 +1805,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not result.complete:
         where = configuration.checkpoint_path or "<no --checkpoint given>"
         print(
-            f"\nhalted after epoch {engine._next_epoch}/{total_epochs}; "
+            f"\nhalted after epoch {engine.scheduler.next_epoch}/{total_epochs}; "
             f"checkpoint: {where}"
         )
         print("resume with the same campaign flags plus --resume PATH")
@@ -1926,8 +1859,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"  slice {row['slice']} batches={row['batches']:4d} "
                     f"sims={row['batch_simulations']:4d} "
                     f"max-batch={row['max_batch']:2d} "
-                    f"speculated={row['speculated']:3d} "
-                    f"lookahead-hits={row['lookahead_hits']:3d} "
                     f"dut-reuses={row['dut_reuses']}/{row['dut_constructions'] + row['dut_reuses']}"
                 )
         process_rows = simulator_process_table(result.sim_log)

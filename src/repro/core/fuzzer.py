@@ -55,13 +55,6 @@ class FuzzerConfiguration:
     # simulations instead of constructing a fresh pair per run; byte-equivalent
     # to fresh construction — disable only for A/B determinism diffing.
     dut_pool: bool = True
-    # Speculative trigger lookahead: on a Phase-1 window miss, the next K-1
-    # mutate_trigger candidates are precomputed and evaluated in the same
-    # simulator batch, so the retry loop replays from memoized results — one
-    # simulator boundary per batch instead of one per failed candidate.  1
-    # (the default) is the legacy one-candidate-per-round behavior; results
-    # are byte-identical for any K.
-    window_lookahead: int = 1
     # Namespace for seed ids: parallel shards use disjoint bases so their seeds
     # never collide in a shared corpus (seed ids also feed per-seed rng streams).
     seed_id_base: int = 0
@@ -103,10 +96,6 @@ class DejaVuzzFuzzer:
         configuration: FuzzerConfiguration,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if configuration.window_lookahead < 1:
-            raise ValueError(
-                f"window_lookahead must be >= 1, got {configuration.window_lookahead}"
-            )
         self.configuration = configuration
         # Telemetry is always on by default (the instruments are one int add
         # per event); pass ``NULL_REGISTRY`` to run with no-op instruments.
@@ -145,9 +134,6 @@ class DejaVuzzFuzzer:
         self._gain_history: List[int] = []
         self._seed_gains: Dict[int, int] = {}
         self._seeds_by_id: Dict[int, Seed] = {}
-        # Campaign rounds whose window miss replayed from a speculatively
-        # memoized result (no simulator boundary of their own).
-        self.lookahead_hits = 0
         explore = self.metrics.scope("explore")
         self._phase2_seconds = explore.histogram("phase2_seconds")
         self._phase3_seconds = explore.histogram("phase3_seconds")
@@ -220,26 +206,11 @@ class DejaVuzzFuzzer:
         current_phase1: Optional[Phase1Result] = None
         window_mutations = 0
         consecutive_low_gain = 0
-        # Window-miss rounds already charged to an earlier speculative batch:
-        # they replay from the simulation memo and yield no boundary of their
-        # own (``window_lookahead`` > 1 only; always 0 in legacy mode).
-        pending_absorbed = 0
 
         for iteration in range(iterations):
             if current_phase1 is None or not current_phase1.triggered:
-                absorbed = pending_absorbed > 0
-                if absorbed:
-                    pending_absorbed -= 1
-                lookahead = 0
-                if not absorbed and configuration.window_lookahead > 1:
-                    # Never speculate past the iteration budget: candidates
-                    # beyond it would be simulated but never replayed.
-                    lookahead = min(
-                        configuration.window_lookahead - 1,
-                        iterations - iteration - 1,
-                    )
-                current_phase1, batch_simulations, missed_candidates = (
-                    self._acquire_window(current_seed, result, lookahead=lookahead)
+                current_phase1, batch_simulations = self._acquire_window(
+                    current_seed, result
                 )
                 window_mutations = 0
                 consecutive_low_gain = 0
@@ -249,12 +220,6 @@ class DejaVuzzFuzzer:
                     result.iterations_run = iteration + 1
                     current_seed = self.mutator.mutate_trigger(current_seed)
                     current_phase1 = None
-                    if absorbed:
-                        # This round's simulations were charged by the batch
-                        # that speculated it; no boundary to yield.
-                        self.lookahead_hits += 1
-                        continue
-                    pending_absorbed = missed_candidates
                     yield CampaignStep(
                         iteration=iteration,
                         phase="window",
@@ -368,38 +333,13 @@ class DejaVuzzFuzzer:
         ]
         return unexplored or list(TransientWindowType)
 
-    def _lookahead_candidates(self, seed: Seed, count: int):
-        """Lazily yield the next ``count`` trigger candidates after ``seed``.
-
-        Mutation happens on a fork of the mutator (cloned rng state + copied
-        seed-id counter), so speculation never advances the committed
-        mutator: when the real loop later calls ``mutate_trigger`` it replays
-        the identical chain, seed ids included.  The window-miss path mutates
-        without coverage arguments, which is what makes the chain a pure
-        function of ``seed`` and the mutator state at fork time.
-        """
-        if count <= 0:
-            return
-        fork = self.mutator.fork()
-        candidate = seed
-        for _ in range(count):
-            candidate = fork.mutate_trigger(candidate)
-            yield candidate
-
-    def _acquire_window(
-        self, seed: Seed, result: CampaignResult, lookahead: int = 0
-    ) -> tuple:
+    def _acquire_window(self, seed: Seed, result: CampaignResult) -> tuple:
         """Run one Phase-1 batch, recording training statistics on a trigger.
 
-        Returns ``(phase1_result, batch_simulations, missed_candidates)``
-        from the batch evaluator; ``lookahead`` extends a missed batch with
-        that many speculative follow-up candidates.
+        Returns ``(phase1_result, batch_simulations)`` from the batch
+        evaluator.
         """
-        phase1_result, batch_simulations, missed_candidates = (
-            self.phase1.batch_evaluator.evaluate(
-                seed, lookahead=self._lookahead_candidates(seed, lookahead)
-            )
-        )
+        phase1_result, batch_simulations = self.phase1.batch_evaluator.evaluate(seed)
         if phase1_result.triggered:
             group = group_of(seed.window_type)
             result.triggered_windows[group] = result.triggered_windows.get(group, 0) + 1
@@ -409,7 +349,7 @@ class DejaVuzzFuzzer:
             result.effective_training_overhead.setdefault(group, []).append(
                 phase1_result.effective_training_overhead
             )
-        return phase1_result, batch_simulations, missed_candidates
+        return phase1_result, batch_simulations
 
     def batch_stats(self) -> Dict[str, int]:
         """Diagnostics-only window-batching counters for ``sim_stats`` rows.
@@ -418,7 +358,6 @@ class DejaVuzzFuzzer:
         observability (the ``analysis.window_batch_table`` input).
         """
         stats = dict(self.phase1.batch_evaluator.stats())
-        stats["lookahead_hits"] = self.lookahead_hits
         pool = self.phase1.dut_pool
         if pool is not None:
             stats.update(
@@ -444,10 +383,6 @@ class DejaVuzzFuzzer:
         batch = self.phase1.batch_evaluator
         phase1.counter("window_batches").add(batch.batches)
         phase1.counter("batch_simulations").add(batch.simulations)
-        phase1.counter("speculated").add(batch.speculated)
-        self.metrics.scope("fuzzer").counter("lookahead_hits").add(
-            self.lookahead_hits
-        )
 
     def _average_gain(self) -> float:
         if not self._gain_history:

@@ -253,10 +253,7 @@ class WindowBatchEvaluator:
     A head seed's batch is its initial trigger simulation plus every
     leave-one-out training-reduction candidate, all evaluated eagerly against
     the owning phase's (pooled) DUT and fed into its
-    :class:`SimulationCache`.  When the head misses, the caller may extend
-    the batch with speculative follow-up candidates — the fuzzer's
-    ``window_lookahead`` — whose memoized results the committed retry loop
-    later replays without re-entering the simulator.
+    :class:`SimulationCache`.
     """
 
     def __init__(self, phase1: "TransientWindowTriggering") -> None:
@@ -264,61 +261,28 @@ class WindowBatchEvaluator:
         self.batches = 0
         self.simulations = 0
         self.max_batch = 0
-        self.speculated = 0
 
-    def evaluate(self, seed: Seed, lookahead=(), secret: Optional[int] = None) -> Tuple:
-        """Evaluate ``seed`` and, on a miss, the ``lookahead`` candidates.
-
-        Returns ``(head_result, batch_simulations, missed_candidates)``.
-        ``lookahead`` is consumed lazily and only when the head missed, and
-        speculation stops at the first candidate that triggers (the committed
-        loop takes over from there, replaying its cached reduction).  The
-        batch charges only the head and the *missed* speculative candidates:
-        a triggered speculative candidate is charged by its own later
-        committed round.  Speculation is skipped when the simulation cache is
-        unavailable — without the memo the replayed rounds could not reuse
-        the speculative results.
-        """
-        phase1 = self.phase1
-        head = phase1.run(seed, secret=secret)
-        batch = head.simulations_used
-        missed_candidates = 0
-        cache_usable = (
-            phase1.simulation_cache is not None
-            and not TransientWindowTriggering.force_disable_sim_cache
-        )
-        if not head.triggered and cache_usable:
-            for candidate in lookahead:
-                speculative = phase1.run(candidate, secret=secret)
-                self.speculated += 1
-                if speculative.triggered:
-                    break
-                batch += speculative.simulations_used
-                missed_candidates += 1
+    def evaluate(
+        self, seed: Seed, secret: Optional[int] = None
+    ) -> Tuple[Phase1Result, int]:
+        """Evaluate ``seed``; returns ``(phase1_result, batch_simulations)``."""
+        result = self.phase1.run(seed, secret=secret)
+        batch = result.simulations_used
         self.batches += 1
         self.simulations += batch
         self.max_batch = max(self.max_batch, batch)
-        return head, batch, missed_candidates
+        return result, batch
 
     def stats(self) -> Dict[str, int]:
         return {
             "window_batches": self.batches,
             "batch_simulations": self.simulations,
             "max_batch": self.max_batch,
-            "speculated": self.speculated,
         }
 
 
 class TransientWindowTriggering:
     """Phase 1 of the DejaVuzz workflow."""
-
-    # A/B escape hatch: forces every simulation through the uncached path
-    # without touching instance configuration (the CI determinism diff and
-    # the byte-identity tests flip this).
-    force_disable_sim_cache = False
-    # Same A/B escape hatch for the warm-DUT pool: every simulation builds a
-    # fresh SwapMemory/Processor pair, as the pre-pool code did.
-    force_disable_dut_pool = False
 
     def __init__(
         self,
@@ -448,7 +412,7 @@ class TransientWindowTriggering:
     def _simulate(self, schedule: SwapSchedule, secret: int) -> SwapRunResult:
         """One simulation of a schedule, memoized on (content, secret) when enabled."""
         cache = self.simulation_cache
-        if cache is None or TransientWindowTriggering.force_disable_sim_cache:
+        if cache is None:
             return self._simulate_uncached(schedule, secret)
         key = (schedule_fingerprint(schedule), secret)
         cached = cache.get(key)
@@ -465,7 +429,7 @@ class TransientWindowTriggering:
         started = time.perf_counter()
         try:
             pool = self.dut_pool
-            if pool is None or TransientWindowTriggering.force_disable_dut_pool:
+            if pool is None:
                 swap_memory = SwapMemory(self.layout, secret=secret)
                 processor = Processor(
                     self.config, memory=swap_memory.data, taint_mode=TaintTrackingMode.NONE

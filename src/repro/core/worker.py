@@ -85,10 +85,11 @@ def _serve_connection(
     """Serve one coordinator connection; returns why it ended.
 
     ``"bye"`` — orderly goodbye; ``"rejected"`` — the coordinator refused our
-    auth token; ``"hangup"`` — EOF without a BYE (coordinator gone);
-    ``"io-error"`` — the socket broke mid-batch; ``"backend-error"`` — the
-    local backend raised while running a batch (the connection is dropped so
-    the coordinator reassigns the batch immediately).
+    protocol version or auth token (``BYE code="version"``/``"auth"``);
+    ``"hangup"`` — EOF without a BYE (coordinator gone); ``"io-error"`` —
+    the socket broke mid-batch; ``"backend-error"`` — the local backend
+    raised while running a batch (the connection is dropped so the
+    coordinator reassigns the batch immediately).
     """
     write_lock = threading.Lock()
     stop_beating = threading.Event()
@@ -129,7 +130,7 @@ def _serve_connection(
             if kind == "BYE":
                 reason = frame.get("reason", "no reason")
                 log(f"coordinator said goodbye ({reason})")
-                if frame.get("code") == "auth":
+                if frame.get("code") in ("version", "auth"):
                     return "rejected"
                 return "bye"
             if kind != "TASK":

@@ -10,7 +10,6 @@ values, and the shadow circuit is evaluated for taints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ift import policies
@@ -21,29 +20,15 @@ from repro.rtl.simulator import NetlistSimulator
 from repro.utils.bitops import mask, popcount, to_unsigned
 
 
-@dataclass
-class ShadowState:
-    """Taint values for every signal and memory entry of one design.
-
-    Retained as the free-standing dict-backed representation for callers that
-    build shadow state by hand; the simulator itself uses the packed
-    :class:`PackedShadowState` (same ``taint_of``/``memory_taints`` surface).
-    """
-
-    signal_taints: Dict[str, int] = field(default_factory=dict)
-    memory_taints: Dict[str, List[int]] = field(default_factory=dict)
-
-    def taint_of(self, signal: str) -> int:
-        return self.signal_taints.get(signal, 0)
-
-
 class PackedShadowState:
     """Signal taints packed into one flat vector indexed by signal slot.
 
     Every signal of the module gets a fixed slot (declaration order), so the
     per-cycle taint evaluation writes ``vector[slot]`` instead of churning a
     per-signal dict.  The slot index is built once per module and shared by
-    ``reset`` (the vector is re-zeroed, the index is immutable).
+    ``reset`` (the vector is re-zeroed, the index is immutable).  This is the
+    simulator's only shadow-state representation; :attr:`signal_taints`
+    expands it to a name-keyed dict for inspection.
     """
 
     __slots__ = ("_index", "_taints", "memory_taints")

@@ -16,6 +16,7 @@ import pytest
 from repro.core import FuzzerConfiguration, ShardTask, run_parallel_campaign
 from repro.core.backends import run_shard_task
 from repro.core.distributed import (
+    PROTOCOL_VERSION,
     DistributedBackend,
     core_config_from_wire,
     core_config_to_wire,
@@ -55,6 +56,25 @@ def make_task(**overrides):
     )
     defaults.update(overrides)
     return ShardTask(**defaults)
+
+
+def run_worker_for_code(backend, retry_seconds=0.0, **kwargs):
+    """Run a worker daemon against ``backend`` to its exit; returns the code."""
+    holder = {}
+
+    def run():
+        holder["code"] = run_worker(
+            connect=f"{backend.address[0]}:{backend.address[1]}",
+            quiet=True,
+            retry_seconds=retry_seconds,
+            **kwargs,
+        )
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return holder["code"]
 
 
 class TestWireForms:
@@ -330,7 +350,15 @@ class TestFaultTolerance:
         try:
             client = socket.create_connection(backend.address, timeout=5)
             reader = client.makefile("rb")
-            send_frame(client, {"type": "HELLO", "worker": "fake:1", "capacity": 1})
+            send_frame(
+                client,
+                {
+                    "type": "HELLO",
+                    "version": PROTOCOL_VERSION,
+                    "worker": "fake:1",
+                    "capacity": 1,
+                },
+            )
             # Run an epoch on a thread; serve its TASK frame by hand.
             tasks = [make_task()]
             collected = {}
@@ -367,30 +395,13 @@ class TestFaultTolerance:
 class TestAuthToken:
     """The shared-secret gate on the worker protocol (HELLO ``auth`` field)."""
 
-    def run_worker_for_code(self, backend, **kwargs):
-        holder = {}
-
-        def run():
-            holder["code"] = run_worker(
-                connect=f"{backend.address[0]}:{backend.address[1]}",
-                quiet=True,
-                retry_seconds=0.0,
-                **kwargs,
-            )
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        return holder["code"]
-
     def test_mismatched_token_is_rejected_with_a_log_line(self, caplog):
         import logging
 
         backend = DistributedBackend(listen="127.0.0.1:0", auth_token="sesame")
         try:
             with caplog.at_level(logging.WARNING, logger="repro.core.distributed"):
-                code = self.run_worker_for_code(backend, auth_token="wrong")
+                code = run_worker_for_code(backend, auth_token="wrong")
             assert code == 1  # an auth rejection is terminal, not retried
             assert backend.rejected_workers == 1
             assert backend.workers() == []  # never admitted to the fleet
@@ -404,7 +415,7 @@ class TestAuthToken:
     def test_missing_token_is_rejected(self):
         backend = DistributedBackend(listen="127.0.0.1:0", auth_token="sesame")
         try:
-            assert self.run_worker_for_code(backend) == 1
+            assert run_worker_for_code(backend) == 1
             assert backend.rejected_workers == 1
             assert backend.workers() == []
         finally:
@@ -437,6 +448,44 @@ class TestAuthToken:
         finally:
             backend.close()
         assert deterministic_wire(authenticated) == deterministic_wire(inline)
+
+
+class TestProtocolVersion:
+    """The coordinator admits only workers that speak its PROTOCOL_VERSION."""
+
+    @pytest.mark.parametrize("version", [PROTOCOL_VERSION + 1, 1, None])
+    def test_other_or_missing_version_gets_bye(self, version):
+        backend = DistributedBackend(listen="127.0.0.1:0")
+        try:
+            client = socket.create_connection(backend.address, timeout=5)
+            reader = client.makefile("rb")
+            hello = {"type": "HELLO", "worker": "stale:1", "capacity": 1}
+            if version is not None:
+                hello["version"] = version
+            send_frame(client, hello)
+            frame = recv_frame(reader)
+            assert frame["type"] == "BYE" and frame["code"] == "version"
+            assert recv_frame(reader) is None  # and the coordinator hung up
+            assert backend.rejected_workers == 1
+            assert backend.workers() == []
+            client.close()
+        finally:
+            backend.close()
+
+    def test_stale_worker_stops_instead_of_reconnecting(self, monkeypatch):
+        import repro.core.worker as worker_module
+
+        monkeypatch.setattr(worker_module, "PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+        backend = DistributedBackend(listen="127.0.0.1:0")
+        try:
+            # A generous retry budget: a worker that treated the rejection as
+            # an outage would reconnect (and be rejected) again and again.
+            code = run_worker_for_code(backend, retry_seconds=20.0)
+            assert code == 1
+            assert backend.rejected_workers == 1
+            assert backend.workers() == []
+        finally:
+            backend.close()
 
 
 class TestWorkerCrashRecovery:

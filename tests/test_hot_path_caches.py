@@ -57,15 +57,6 @@ class TestSimulationCacheTransparency:
         uncached = deterministic_dict(sim_cache=False)
         assert cached == uncached
 
-    def test_force_disable_flag_is_byte_identical(self):
-        cached = deterministic_dict()
-        TransientWindowTriggering.force_disable_sim_cache = True
-        try:
-            forced = deterministic_dict()
-        finally:
-            TransientWindowTriggering.force_disable_sim_cache = False
-        assert cached == forced
-
     def test_identical_schedules_hit_the_cache(self):
         phase1 = TransientWindowTriggering(BOOM)
         seed = make_seed()
@@ -338,9 +329,3 @@ class TestProfilePlumbing:
         back = shard_task_from_wire(wire)
         assert back.profile == 7
         assert back.configuration.sim_cache is False
-        # Payloads from an older coordinator lack the new keys entirely.
-        del wire["profile"]
-        del wire["configuration"]["sim_cache"]
-        legacy = shard_task_from_wire(wire)
-        assert legacy.profile == 0
-        assert legacy.configuration.sim_cache is True

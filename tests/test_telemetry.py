@@ -288,8 +288,8 @@ class TestConfiguration:
         )
         without = ParallelCampaignEngine(configuration(telemetry=False))
         assert (
-            with_telemetry.configuration_fingerprint()
-            == without.configuration_fingerprint()
+            with_telemetry.scheduler.configuration_fingerprint()
+            == without.scheduler.configuration_fingerprint()
         )
 
     def test_shard_task_wire_round_trip(self):
@@ -304,23 +304,6 @@ class TestConfiguration:
         decoded = shard_task_from_wire(shard_task_to_wire(task))
         assert decoded.telemetry is False
         assert decoded.telemetry_cadence == 2.5
-
-    def test_missing_wire_keys_default_to_on(self):
-        # Tasks from a pre-telemetry coordinator keep working on a new
-        # worker: telemetry defaults on, cadence to zero.
-        wire = shard_task_to_wire(
-            ShardTask(
-                slice_index=0,
-                epoch=0,
-                iterations=4,
-                configuration=FuzzerConfiguration(core=BOOM, entropy=5),
-            )
-        )
-        del wire["telemetry"]
-        del wire["telemetry_cadence"]
-        decoded = shard_task_from_wire(wire)
-        assert decoded.telemetry is True
-        assert decoded.telemetry_cadence == 0.0
 
 
 class TestSummaryKinds:

@@ -1,9 +1,9 @@
 """Tests for batched window evaluation: DUT reuse via Processor.reset() /
-SwapMemory.rearm(), speculative trigger lookahead, and the batch accounting.
+SwapMemory.rearm(), and the batch accounting.
 
 The shared contract under test: batching is *byte-transparent* — the same
-campaign run with any ``window_lookahead``, with the DUT pool on or off, and
-on any execution path produces byte-identical deterministic wire forms.
+campaign run with the DUT pool on or off, and on any execution path,
+produces byte-identical deterministic wire forms.
 """
 
 import json
@@ -31,19 +31,12 @@ from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration, run_quick_cam
 from repro.core.phase1 import DEFAULT_LAYOUT, DutPool, TransientWindowTriggering
 from repro.core.report import CampaignResult
 from repro.core.worker import run_worker
-from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
 from repro.uarch import small_boom_config
 from repro.utils.rng import DeterministicRng
 
 BOOM = small_boom_config()
-
-# Entropy values where the quick campaign hits window misses, so the
-# speculative lookahead actually engages (asserted below, so a generator
-# change that stops producing misses here fails loudly instead of silently
-# weakening the suite).
-MISS_HEAVY_ENTROPIES = (6, 7, 16)
 
 
 def deterministic_dict(iterations=8, entropy=11, **overrides):
@@ -59,82 +52,25 @@ def make_seed(seed_id=7, entropy=13, window_type=TransientWindowType.BRANCH_MISP
     return Seed(seed_id=seed_id, entropy=entropy, window_type=window_type)
 
 
-class TestSpeculativeLookahead:
-    def test_k1_is_the_legacy_path(self):
-        configuration = FuzzerConfiguration(core=BOOM, entropy=6, window_lookahead=1)
-        fuzzer = DejaVuzzFuzzer(configuration)
-        fuzzer.run_campaign(iterations=12)
+class TestBatchAccounting:
+    def test_window_steps_match_batch_counters(self):
+        # Every Phase-1 batch is one "window" boundary of the stepwise
+        # campaign, and the steps charge exactly the batch's simulations.
+        fuzzer = DejaVuzzFuzzer(FuzzerConfiguration(core=BOOM, entropy=6))
+        generator = fuzzer.campaign_steps(12)
+        steps = []
+        while True:
+            try:
+                steps.append(next(generator))
+            except StopIteration:
+                break
+        window_steps = [step for step in steps if step.phase == "window"]
         stats = fuzzer.batch_stats()
-        assert stats["speculated"] == 0
-        assert stats["lookahead_hits"] == 0
-
-    def test_lookahead_campaigns_are_byte_identical(self):
-        for entropy in MISS_HEAVY_ENTROPIES:
-            legacy = deterministic_dict(iterations=12, entropy=entropy)
-            for lookahead in (3, 8):
-                batched = deterministic_dict(
-                    iterations=12, entropy=entropy, window_lookahead=lookahead
-                )
-                assert batched == legacy
-
-    def test_lookahead_actually_engages_on_misses(self):
-        engaged = 0
-        for entropy in MISS_HEAVY_ENTROPIES:
-            configuration = FuzzerConfiguration(
-                core=BOOM, entropy=entropy, window_lookahead=4
-            )
-            fuzzer = DejaVuzzFuzzer(configuration)
-            fuzzer.run_campaign(iterations=12)
-            stats = fuzzer.batch_stats()
-            engaged += stats["lookahead_hits"]
-            assert stats["speculated"] >= stats["lookahead_hits"]
-        assert engaged > 0
-
-    def test_lookahead_without_sim_cache_is_byte_identical(self):
-        # Speculation replays through the simulation memo; with the memo off
-        # it is skipped entirely, and the campaign must not notice.
-        legacy = deterministic_dict(iterations=12, entropy=6)
-        uncached = deterministic_dict(
-            iterations=12, entropy=6, window_lookahead=4, sim_cache=False
+        assert window_steps
+        assert len(window_steps) == stats["window_batches"]
+        assert sum(step.simulations for step in window_steps) == (
+            stats["batch_simulations"]
         )
-        assert uncached == legacy
-
-    def test_simulation_totals_are_conserved_with_fewer_boundaries(self):
-        def steps(lookahead):
-            fuzzer = DejaVuzzFuzzer(
-                FuzzerConfiguration(core=BOOM, entropy=6, window_lookahead=lookahead)
-            )
-            generator = fuzzer.campaign_steps(12)
-            collected = []
-            while True:
-                try:
-                    collected.append(next(generator))
-                except StopIteration:
-                    break
-            return collected, fuzzer.batch_stats()
-
-        legacy, _ = steps(1)
-        batched, stats = steps(4)
-        assert stats["lookahead_hits"] > 0
-        # The logical simulation budget is conserved: absorbed rounds are
-        # pre-charged by their batch's consolidated step.
-        assert sum(s.simulations for s in batched) == sum(
-            s.simulations for s in legacy
-        )
-        # Absorbed rounds yield no step of their own: fewer boundaries.
-        assert len(batched) == len(legacy) - stats["lookahead_hits"]
-
-    def test_rejects_bad_lookahead(self):
-        with pytest.raises(ValueError, match="window_lookahead"):
-            DejaVuzzFuzzer(
-                FuzzerConfiguration(core=BOOM, entropy=3, window_lookahead=0)
-            )
-        with pytest.raises(ValueError, match="window_lookahead"):
-            EngineConfiguration(
-                fuzzer=FuzzerConfiguration(core=BOOM, entropy=3),
-                iterations=4,
-                window_lookahead=0,
-            )
 
 
 class TestDutPool:
@@ -153,15 +89,6 @@ class TestDutPool:
             assert a.to_dict() == b.to_dict()
         assert pooled.dut_pool.reuses > 0
         assert fresh.dut_pool is None
-
-    def test_force_disable_flag_is_byte_identical(self):
-        baseline = deterministic_dict()
-        TransientWindowTriggering.force_disable_dut_pool = True
-        try:
-            disabled = deterministic_dict()
-        finally:
-            TransientWindowTriggering.force_disable_dut_pool = False
-        assert baseline == disabled
 
     def test_pool_knob_is_byte_identical(self):
         assert deterministic_dict(dut_pool=False) == deterministic_dict()
@@ -201,8 +128,7 @@ class TestBatchingAcrossExecutionPaths:
 
     def test_inline_lookahead_matches_reference(self, inline_reference):
         batched = run_parallel_campaign(
-            BOOM, executor="inline", window_lookahead=3, dut_pool=False,
-            **self.ENGINE_KWARGS,
+            BOOM, executor="inline", dut_pool=False, **self.ENGINE_KWARGS
         )
         assert engine_wire(batched) == inline_reference
         # Every run reports batch rows; the analysis table picks them up.
@@ -213,13 +139,13 @@ class TestBatchingAcrossExecutionPaths:
 
     def test_process_pool_lookahead_matches_reference(self, inline_reference):
         batched = run_parallel_campaign(
-            BOOM, executor="process", window_lookahead=3, **self.ENGINE_KWARGS
+            BOOM, executor="process", dut_pool=False, **self.ENGINE_KWARGS
         )
         assert engine_wire(batched) == inline_reference
 
     def test_async_lookahead_matches_reference(self, inline_reference):
         batched = run_parallel_campaign(
-            BOOM, executor="async", window_lookahead=3, **self.ENGINE_KWARGS
+            BOOM, executor="async", dut_pool=False, **self.ENGINE_KWARGS
         )
         assert engine_wire(batched) == inline_reference
 
@@ -236,7 +162,7 @@ class TestBatchingAcrossExecutionPaths:
                 daemon=True,
             ).start()
             batched = run_parallel_campaign(
-                BOOM, executor="inline", backend=backend, window_lookahead=3,
+                BOOM, executor="inline", backend=backend, dut_pool=False,
                 **self.ENGINE_KWARGS,
             )
         finally:
@@ -244,14 +170,13 @@ class TestBatchingAcrossExecutionPaths:
         assert engine_wire(batched) == inline_reference
 
     def test_subprocess_simulator_lookahead_matches_inproc(self):
-        def task(simulator, lookahead):
+        def task(simulator, dut_pool):
             return ShardTask(
                 slice_index=0,
                 epoch=0,
                 iterations=6,
                 configuration=FuzzerConfiguration(
-                    core=BOOM, entropy=6, seed_id_base=10,
-                    window_lookahead=lookahead,
+                    core=BOOM, entropy=6, seed_id_base=10, dut_pool=dut_pool
                 ),
                 simulator=simulator,
             )
@@ -268,8 +193,8 @@ class TestBatchingAcrossExecutionPaths:
                 "top_seeds": payload["top_seeds"],
             }
 
-        reference = deterministic_payload(run_shard_task(task("inproc", 1)))
-        subprocess_payload = run_shard_task(task("subprocess", 3))
+        reference = deterministic_payload(run_shard_task(task("inproc", True)))
+        subprocess_payload = run_shard_task(task("subprocess", False))
         assert deterministic_payload(subprocess_payload) == reference
         # The client merged its process counters into the runner's batch row.
         stats = subprocess_payload["sim_stats"]
@@ -281,9 +206,7 @@ class TestCheckpointResume:
     def test_resume_mid_campaign_with_lookahead_is_byte_identical(self, tmp_path):
         def configuration(checkpoint=None):
             return EngineConfiguration(
-                fuzzer=FuzzerConfiguration(
-                    core=BOOM, entropy=6, window_lookahead=4
-                ),
+                fuzzer=FuzzerConfiguration(core=BOOM, entropy=6, dut_pool=False),
                 shards=2,
                 slices=2,
                 iterations=12,
@@ -302,9 +225,10 @@ class TestCheckpointResume:
         assert engine_wire(resumed) == engine_wire(uninterrupted)
 
     def test_lookahead_is_not_part_of_the_campaign_identity(self, tmp_path):
-        # Batching knobs are transparent, so a checkpoint written with K=1
-        # resumes under K>1 (and vice versa) with identical results.
-        def configuration(lookahead, dut_pool, checkpoint):
+        # Batching knobs are transparent, so a checkpoint written with the
+        # DUT pool on resumes with it off (and vice versa) with identical
+        # results.
+        def configuration(dut_pool, checkpoint):
             return EngineConfiguration(
                 fuzzer=FuzzerConfiguration(core=BOOM, entropy=6),
                 shards=2,
@@ -313,61 +237,25 @@ class TestCheckpointResume:
                 sync_epochs=3,
                 executor="inline",
                 checkpoint_path=checkpoint,
-                window_lookahead=lookahead,
                 dut_pool=dut_pool,
             )
 
-        uninterrupted = ParallelCampaignEngine(
-            configuration(1, True, None)
-        ).run()
+        uninterrupted = ParallelCampaignEngine(configuration(True, None)).run()
         checkpoint = str(tmp_path / "identity.json")
-        ParallelCampaignEngine(configuration(1, True, checkpoint)).run(max_epochs=1)
+        ParallelCampaignEngine(configuration(True, checkpoint)).run(max_epochs=1)
         resumed = ParallelCampaignEngine.resume_from(
-            checkpoint, configuration(4, False, checkpoint)
+            checkpoint, configuration(False, checkpoint)
         ).run()
         assert engine_wire(resumed) == engine_wire(uninterrupted)
 
 
 class TestWireDefaults:
-    def test_missing_batch_keys_default_to_off(self):
-        wire = fuzzer_configuration_to_wire(
-            FuzzerConfiguration(core=BOOM, entropy=5)
-        )
-        assert wire["window_lookahead"] == 1
-        assert wire["dut_pool"] is True
-        del wire["window_lookahead"]
-        del wire["dut_pool"]
-        decoded = fuzzer_configuration_from_wire(wire)
-        assert decoded.window_lookahead == 1
-        assert decoded.dut_pool is True
-
     def test_batch_knobs_round_trip(self):
         configuration = FuzzerConfiguration(
-            core=BOOM, entropy=5, window_lookahead=6, dut_pool=False
+            core=BOOM, entropy=5, sim_cache=False, dut_pool=False
         )
         decoded = fuzzer_configuration_from_wire(
             fuzzer_configuration_to_wire(configuration)
         )
         assert decoded == configuration
 
-
-class TestForkPrimitives:
-    def test_rng_clone_replays_the_future(self):
-        rng = DeterministicRng(42, "clone-test")
-        rng.randint(0, 100)  # consume some state first
-        clone = rng.clone()
-        speculative = [clone.randint(0, 10**9) for _ in range(5)]
-        committed = [rng.randint(0, 10**9) for _ in range(5)]
-        assert speculative == committed
-
-    def test_mutator_fork_replays_seeds_and_ids(self):
-        mutator = Mutator(DeterministicRng(7, "fork-test"), seed_id_base=500)
-        seed = make_seed(seed_id=mutator.allocate_seed_id())
-        fork = mutator.fork()
-        speculative = fork.mutate_trigger(seed)
-        speculative = [speculative, fork.mutate_trigger(speculative)]
-        committed = mutator.mutate_trigger(seed)
-        committed = [committed, mutator.mutate_trigger(committed)]
-        for a, b in zip(speculative, committed):
-            assert a.to_dict() == b.to_dict()
-        assert [s.seed_id for s in committed] == [501, 502]
